@@ -39,95 +39,49 @@ lineup:
 ['adacomm', 'sync-sgd']
 """
 
-from repro.api import Experiment, Registry
-from repro.core import (
-    AdaCommConfig,
-    AdaCommController,
-    AdaCommSchedule,
-    FixedCommunicationSchedule,
-    PASGDTrainer,
-    SequenceCommunicationSchedule,
-    TrainerConfig,
-    TheoreticalConstants,
-    basic_tau_update,
-    refined_tau_update,
-    lr_coupled_tau_update,
-    error_runtime_bound,
-    optimal_communication_period,
-)
-from repro.distributed import SimulatedCluster, Worker
-from repro.experiments import (
-    ExperimentConfig,
-    available_configs,
-    config_spec,
-    default_methods,
-    make_config,
-    parse_method_spec,
-    run_experiment,
-    run_method,
-)
-from repro.obs import MetricsRegistry, Tracer, read_trace
-from repro.optim import SGD, BlockMomentum, ConstantLR, MultiStepLR, TauGatedStepLR
-from repro.sweep import ResultStore, SweepRunner, SweepSpec, grid, paired, run_sweep
-from repro.runtime import (
-    ConstantDelay,
-    ExponentialDelay,
-    NetworkModel,
-    RuntimeModel,
-    RuntimeSimulator,
-    speedup_constant_delays,
-)
-from repro.utils import RunRecord, RunStore
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Experiment",
-    "Registry",
-    "AdaCommConfig",
-    "AdaCommController",
-    "AdaCommSchedule",
-    "FixedCommunicationSchedule",
-    "SequenceCommunicationSchedule",
-    "PASGDTrainer",
-    "TrainerConfig",
-    "TheoreticalConstants",
-    "basic_tau_update",
-    "refined_tau_update",
-    "lr_coupled_tau_update",
-    "error_runtime_bound",
-    "optimal_communication_period",
-    "SimulatedCluster",
-    "Worker",
-    "ExperimentConfig",
-    "available_configs",
-    "config_spec",
-    "default_methods",
-    "make_config",
-    "parse_method_spec",
-    "run_experiment",
-    "run_method",
-    "SGD",
-    "BlockMomentum",
-    "ConstantLR",
-    "MultiStepLR",
-    "TauGatedStepLR",
-    "ConstantDelay",
-    "ExponentialDelay",
-    "NetworkModel",
-    "RuntimeModel",
-    "RuntimeSimulator",
-    "speedup_constant_delays",
-    "MetricsRegistry",
-    "Tracer",
-    "read_trace",
-    "RunRecord",
-    "RunStore",
-    "SweepSpec",
-    "ResultStore",
-    "SweepRunner",
-    "run_sweep",
-    "grid",
-    "paired",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".api": ("Experiment", "Registry"),
+    ".core": (
+        "AdaCommConfig",
+        "AdaCommController",
+        "AdaCommSchedule",
+        "FixedCommunicationSchedule",
+        "SequenceCommunicationSchedule",
+        "PASGDTrainer",
+        "TrainerConfig",
+        "TheoreticalConstants",
+        "basic_tau_update",
+        "refined_tau_update",
+        "lr_coupled_tau_update",
+        "error_runtime_bound",
+        "optimal_communication_period",
+    ),
+    ".distributed": ("SimulatedCluster", "Worker"),
+    ".experiments": (
+        "ExperimentConfig",
+        "available_configs",
+        "config_spec",
+        "default_methods",
+        "make_config",
+        "parse_method_spec",
+        "run_experiment",
+        "run_method",
+    ),
+    ".optim": ("SGD", "BlockMomentum", "ConstantLR", "MultiStepLR", "TauGatedStepLR"),
+    ".runtime": (
+        "ConstantDelay",
+        "ExponentialDelay",
+        "NetworkModel",
+        "RuntimeModel",
+        "RuntimeSimulator",
+        "speedup_constant_delays",
+    ),
+    ".obs": ("MetricsRegistry", "Tracer", "read_trace"),
+    ".utils": ("RunRecord", "RunStore"),
+    ".sweep": ("SweepSpec", "ResultStore", "SweepRunner", "run_sweep", "grid", "paired"),
+})
+__all__.append("__version__")

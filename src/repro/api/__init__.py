@@ -24,44 +24,26 @@ Third-party components plug in with one decorator::
     class BimodalDelay(DelayDistribution):
         ...
 
-The ``Experiment`` name is imported lazily so that ``repro.api`` itself stays
-import-cycle-free with the subpackages that register into it.
+Every name is imported lazily (:mod:`repro._lazy`), so ``repro.api`` itself
+stays import-cycle-free with the subpackages that register into it.
 """
 
 from __future__ import annotations
 
-from repro.api.registries import (
-    BACKENDS,
-    COMM_SCHEDULES,
-    DATASETS,
-    DELAYS,
-    LR_SCHEDULES,
-    MODELS,
-    NETWORK_SCALINGS,
-    SWEEPS,
-    all_registries,
-)
-from repro.api.registry import Registry, filter_kwargs
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Registry",
-    "filter_kwargs",
-    "MODELS",
-    "DATASETS",
-    "DELAYS",
-    "NETWORK_SCALINGS",
-    "COMM_SCHEDULES",
-    "LR_SCHEDULES",
-    "BACKENDS",
-    "SWEEPS",
-    "all_registries",
-    "Experiment",
-]
-
-
-def __getattr__(name: str):
-    if name == "Experiment":
-        from repro.api.experiment import Experiment
-
-        return Experiment
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".registry": ("Registry", "filter_kwargs"),
+    ".registries": (
+        "MODELS",
+        "DATASETS",
+        "DELAYS",
+        "NETWORK_SCALINGS",
+        "COMM_SCHEDULES",
+        "LR_SCHEDULES",
+        "BACKENDS",
+        "SWEEPS",
+        "all_registries",
+    ),
+    ".experiment": ("Experiment",),
+})

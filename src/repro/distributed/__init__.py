@@ -11,53 +11,26 @@ training run yields loss-versus-*wall-clock-time* trajectories exactly like
 the paper's figures.
 """
 
-from repro.distributed.worker import Worker
-from repro.distributed.averaging import average_states, weighted_average_states
-from repro.distributed.backends import BackendUnsupported, LoopWorkers, WorkerBackend
-from repro.distributed.worker_bank import BankWorkerView, WorkerBank
-from repro.distributed.transport import ShmStatePlane, resolve_transport, shm_available
-from repro.distributed.sharded_bank import ShardedBank, ShardWorkerView, shard_slices
-from repro.distributed.reuse import BackendHandle, resolve_backend
-from repro.distributed.cluster import SimulatedCluster
-from repro.distributed.events import CommunicationEvent, LocalPeriodEvent, EventLog
-from repro.distributed.topology import (
-    complete_mixing_matrix,
-    ring_mixing_matrix,
-    star_mixing_matrix,
-    metropolis_hastings_weights,
-    spectral_gap,
-    mix_states,
-    consensus_distance,
-    rounds_to_consensus,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Worker",
-    "average_states",
-    "weighted_average_states",
-    "BackendUnsupported",
-    "WorkerBackend",
-    "LoopWorkers",
-    "WorkerBank",
-    "BankWorkerView",
-    "ShmStatePlane",
-    "resolve_transport",
-    "shm_available",
-    "ShardedBank",
-    "ShardWorkerView",
-    "shard_slices",
-    "BackendHandle",
-    "resolve_backend",
-    "SimulatedCluster",
-    "CommunicationEvent",
-    "LocalPeriodEvent",
-    "EventLog",
-    "complete_mixing_matrix",
-    "ring_mixing_matrix",
-    "star_mixing_matrix",
-    "metropolis_hastings_weights",
-    "spectral_gap",
-    "mix_states",
-    "consensus_distance",
-    "rounds_to_consensus",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".worker": ("Worker",),
+    ".averaging": ("average_states", "weighted_average_states"),
+    ".backends": ("BackendUnsupported", "WorkerBackend", "LoopWorkers"),
+    ".worker_bank": ("WorkerBank", "BankWorkerView"),
+    ".transport": ("ShmStatePlane", "resolve_transport", "shm_available"),
+    ".sharded_bank": ("ShardedBank", "ShardWorkerView", "shard_slices"),
+    ".reuse": ("BackendHandle", "resolve_backend"),
+    ".cluster": ("SimulatedCluster",),
+    ".events": ("CommunicationEvent", "LocalPeriodEvent", "EventLog"),
+    ".topology": (
+        "complete_mixing_matrix",
+        "ring_mixing_matrix",
+        "star_mixing_matrix",
+        "metropolis_hastings_weights",
+        "spectral_gap",
+        "mix_states",
+        "consensus_distance",
+        "rounds_to_consensus",
+    ),
+})

@@ -4,9 +4,14 @@ The paper notes that adapting the communication frequency "can be easily
 extended to other SGD frameworks including ... decentralized SGD (e.g.,
 adapting network sparsity)".  This module provides the substrate for that
 extension: doubly-stochastic mixing matrices for standard worker topologies
-(complete graph, ring, star, arbitrary NetworkX graphs via Metropolis-Hastings
+(complete graph, ring, star, and arbitrary graphs via Metropolis-Hastings
 weights), their spectral gap (which governs how fast repeated gossip rounds
 reach consensus), and the gossip-averaging primitive itself.
+
+A graph is an (m, m) adjacency matrix: entry ``[i, j]`` is truthy when
+workers i and j are linked.  It must be symmetric (links are undirected) and
+its diagonal is ignored, so self-loops neither count towards a degree nor
+carry weight.
 
 ``SimulatedCluster.average_models`` performs exact averaging (complete-graph
 mixing); ``mix_states`` generalizes it: one gossip round per communication
@@ -17,11 +22,6 @@ all-to-all collective.
 from __future__ import annotations
 
 import numpy as np
-
-try:  # networkx is an optional convenience for arbitrary graphs
-    import networkx as nx
-except ImportError:  # pragma: no cover - networkx is installed in this environment
-    nx = None
 
 __all__ = [
     "TOPOLOGIES",
@@ -90,48 +90,64 @@ def star_mixing_matrix(m: int) -> np.ndarray:
     return W
 
 
-def metropolis_hastings_weights(graph) -> np.ndarray:
-    """Doubly-stochastic mixing matrix for an arbitrary connected NetworkX graph.
-
-    Uses the Metropolis-Hastings rule ``W_ij = 1 / (1 + max(d_i, d_j))`` for
-    edges, with the remaining mass on the diagonal.
-    """
-    if nx is None:  # pragma: no cover
-        raise ImportError("networkx is required for metropolis_hastings_weights")
-    if graph.number_of_nodes() == 0:
+def _validate_adjacency(adjacency) -> np.ndarray:
+    A = np.array(adjacency, dtype=bool)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"adjacency must be a square (m, m) matrix, got shape {A.shape}")
+    if A.shape[0] == 0:
         raise ValueError("graph must be non-empty")
-    if not nx.is_connected(graph):
+    np.fill_diagonal(A, False)
+    if not np.array_equal(A, A.T):
+        raise ValueError("adjacency must be symmetric (links are undirected)")
+    return A
+
+
+def _is_connected(A: np.ndarray) -> bool:
+    """Breadth-first search from worker 0, one frontier per level."""
+    reached = np.zeros(A.shape[0], dtype=bool)
+    reached[0] = True
+    frontier = reached.copy()
+    while frontier.any():
+        frontier = A[frontier].any(axis=0) & ~reached
+        reached |= frontier
+    return bool(reached.all())
+
+
+def metropolis_hastings_weights(adjacency) -> np.ndarray:
+    """Doubly-stochastic mixing matrix for an arbitrary connected graph.
+
+    ``adjacency`` is an (m, m) symmetric adjacency matrix (any dtype; nonzero
+    means linked) whose diagonal is ignored.  Uses the Metropolis-Hastings
+    rule ``W_ij = 1 / (1 + max(d_i, d_j))`` for edges, with the remaining
+    mass on the diagonal.
+    """
+    A = _validate_adjacency(adjacency)
+    if not _is_connected(A):
         raise ValueError("graph must be connected for gossip averaging to reach consensus")
-    nodes = sorted(graph.nodes())
-    index = {n: i for i, n in enumerate(nodes)}
-    m = len(nodes)
-    W = np.zeros((m, m))
-    degrees = dict(graph.degree())
-    for u, v in graph.edges():
-        w = 1.0 / (1.0 + max(degrees[u], degrees[v]))
-        W[index[u], index[v]] = w
-        W[index[v], index[u]] = w
-    for i in range(m):
-        W[i, i] = 1.0 - W[i].sum()
+    degrees = A.sum(axis=1)
+    i, j = np.nonzero(A)
+    W = np.zeros(A.shape)
+    W[i, j] = 1.0 / (1.0 + np.maximum(degrees[i], degrees[j]))
+    np.fill_diagonal(W, 1.0 - W.sum(axis=1))
     return W
 
 
-def chordal_ring_graph(m: int):
-    """The deterministic graph behind the ``"mh"`` topology: a cycle plus chords.
+def chordal_ring_graph(m: int) -> np.ndarray:
+    """Adjacency of the graph behind the ``"mh"`` topology: a cycle plus chords.
 
     For m ≥ 5 each node i also links to i+2 (mod m), giving every node degree
     4 — dense enough that the Metropolis-Hastings weights differ from the
     plain ring, sparse enough to stay decentralized.  Small clusters (m ≤ 4)
     fall back to the complete graph, where MH weighting is still well defined.
     """
-    if nx is None:  # pragma: no cover
-        raise ImportError("networkx is required for the 'mh' topology")
     _validate_m(m)
     if m <= 4:
-        return nx.complete_graph(m)
-    graph = nx.cycle_graph(m)
-    graph.add_edges_from((i, (i + 2) % m) for i in range(m))
-    return graph
+        return ~np.eye(m, dtype=bool)
+    A = np.zeros((m, m), dtype=bool)
+    nodes = np.arange(m)
+    for step in (1, 2):
+        A[nodes, (nodes + step) % m] = True
+    return A | A.T
 
 
 def mixing_matrix_for(topology: str, m: int) -> np.ndarray:
@@ -140,7 +156,7 @@ def mixing_matrix_for(topology: str, m: int) -> np.ndarray:
     ``"complete"`` is PASGD's exact collective (one gossip round averages
     exactly); ``"ring"`` and ``"star"`` use the closed-form matrices above;
     ``"mh"`` builds Metropolis-Hastings weights over the deterministic
-    chordal-ring graph.
+    chordal-ring adjacency.
     """
     if topology == "complete":
         return complete_mixing_matrix(m)

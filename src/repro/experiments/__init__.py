@@ -9,52 +9,23 @@ ADACOMM) under one config and collects their :class:`RunRecord` trajectories.
 and data series that the benchmark targets print.
 """
 
-from repro.experiments.configs import (
-    ExperimentConfig,
-    available_configs,
-    config_spec,
-    make_config,
-)
-from repro.experiments.harness import (
-    MethodSpec,
-    default_methods,
-    parse_method_spec,
-    run_experiment,
-    run_method,
-)
-from repro.experiments.tables import (
-    format_table,
-    accuracy_table,
-    speedup_table,
-    sweep_summary_table,
-    time_to_loss_table,
-)
-from repro.experiments.figures import (
-    loss_vs_time_series,
-    tau_vs_time_series,
-    comm_comp_breakdown,
-    sweep_error_runtime_frontier,
-    sweep_loss_curves,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentConfig",
-    "make_config",
-    "available_configs",
-    "config_spec",
-    "MethodSpec",
-    "parse_method_spec",
-    "run_experiment",
-    "run_method",
-    "default_methods",
-    "format_table",
-    "accuracy_table",
-    "speedup_table",
-    "time_to_loss_table",
-    "loss_vs_time_series",
-    "tau_vs_time_series",
-    "comm_comp_breakdown",
-    "sweep_summary_table",
-    "sweep_loss_curves",
-    "sweep_error_runtime_frontier",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".configs": ("ExperimentConfig", "make_config", "available_configs", "config_spec"),
+    ".harness": ("MethodSpec", "parse_method_spec", "run_experiment", "run_method", "default_methods"),
+    ".tables": (
+        "format_table",
+        "accuracy_table",
+        "speedup_table",
+        "time_to_loss_table",
+        "sweep_summary_table",
+    ),
+    ".figures": (
+        "loss_vs_time_series",
+        "tau_vs_time_series",
+        "comm_comp_breakdown",
+        "sweep_loss_curves",
+        "sweep_error_runtime_frontier",
+    ),
+})

@@ -58,7 +58,6 @@ from repro.experiments.figures import (
     summarize_series,
     sweep_loss_curves,
 )
-from repro.experiments.harness import run_experiment
 from repro.experiments.tables import (
     accuracy_table,
     format_table,
@@ -68,6 +67,18 @@ from repro.experiments.tables import (
 from repro.utils.cli import key_value_parser
 
 __all__ = ["build_parser", "main"]
+
+
+def _usage_error(message: str) -> SystemExit:
+    """A bad-input exit: argparse's usage-error status 2, message on stderr.
+
+    The message stays the exception's text, so a caller of :func:`main` can
+    catch the ``SystemExit`` and read what was wrong.
+    """
+    print(f"python -m repro: error: {message}", file=sys.stderr)
+    exc = SystemExit(f"error: {message}")
+    exc.code = 2
+    return exc
 
 
 def _config_arg(value: str) -> str:
@@ -160,7 +171,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
                 config = ExperimentConfig.from_dict(json.load(fh))
         except (OSError, TypeError, ValueError) as err:
             # unreadable file, missing/mistyped fields, bad JSON, bad names
-            raise SystemExit(f"error: cannot load config {args.config!r}: {err}") from err
+            raise _usage_error(f"cannot load config {args.config!r}: {err}") from err
         config = _apply_scale(config, args.scale)
     else:
         config = make_config(args.config, scale=args.scale)
@@ -184,11 +195,11 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         try:
             config = config.with_overrides(**overrides)
         except TypeError as err:
-            raise SystemExit(f"error: invalid --set override: {err}") from err
+            raise _usage_error(f"invalid --set override: {err}") from err
     try:
         return config.validate()
     except ValueError as err:
-        raise SystemExit(f"error: {err}") from err
+        raise _usage_error(str(err)) from err
 
 
 def _run_sweep(args: argparse.Namespace, parser_defaults: argparse.Namespace) -> int:
@@ -212,15 +223,15 @@ def _run_sweep(args: argparse.Namespace, parser_defaults: argparse.Namespace) ->
         if getattr(args, attr) != getattr(parser_defaults, attr)
     ]
     if ignored:
-        raise SystemExit(
-            f"error: {', '.join(ignored)} cannot be combined with --sweep; campaign "
+        raise _usage_error(
+            f"{', '.join(ignored)} cannot be combined with --sweep; campaign "
             f"cells are defined by the registered spec (see repro.sweep.campaigns)"
         )
 
     try:
         spec = SWEEPS.build(args.sweep)
     except ValueError as err:
-        raise SystemExit(f"error: {err}") from err
+        raise _usage_error(str(err)) from err
 
     store = ResultStore(args.store)
     print(f"running sweep {spec.name!r}: {spec.n_cells} cells over "
@@ -289,6 +300,10 @@ def main(argv: list[str] | None = None) -> int:
         return _run_sweep(args, parser.parse_args([]))
 
     config = _load_config(args)
+    # The harness pulls in the trainer, cluster and backends; importing it
+    # here keeps --list, --sweep replays and usage errors from paying for it.
+    from repro.experiments.harness import run_experiment
+
     print(f"running experiment {config.name!r}: model={config.model}, "
           f"{config.n_workers} workers, alpha={config.alpha}, "
           f"budget={config.wall_time_budget:.0f}s, lr={config.lr}, "

@@ -24,7 +24,9 @@ higher-fidelity runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral, Real
 from typing import Any, Callable
 
 from repro.api.registries import (
@@ -226,7 +228,20 @@ class ExperimentConfig:
         return config
 
     def validate(self) -> "ExperimentConfig":
-        """Check every component name against its registry; returns self."""
+        """Check every component name against its registry; returns self.
+
+        Also rejects a learning rate that is not a finite positive number and
+        a worker count or batch size below one, naming the field, before a
+        run can be hashed or started.
+        """
+        if isinstance(self.lr, bool) or not isinstance(self.lr, Real):
+            raise ValueError(f"lr must be a number, got {self.lr!r}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
+        for name in ("n_workers", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if self.dataset_fn is None:
             DATASETS.get(self.dataset)
         MODELS.get(self.model)

@@ -13,42 +13,11 @@ All emission helpers are zero-overhead while disabled, so they live in the
 execution stack unconditionally.
 """
 
-from repro.obs.events import EVENT_NAMES, validate_event_name
-from repro.obs.metrics import (
-    MetricsRegistry,
-    counter_inc,
-    gauge_set,
-    observe,
-    observed,
-)
-from repro.obs.tooling import diff_traces, summarize_trace, summary_table, to_chrome_trace
-from repro.obs.tracer import (
-    WALL_FIELDS,
-    Tracer,
-    instant,
-    read_trace,
-    span,
-    strip_wall_fields,
-    trace_lines,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EVENT_NAMES",
-    "MetricsRegistry",
-    "Tracer",
-    "WALL_FIELDS",
-    "counter_inc",
-    "diff_traces",
-    "gauge_set",
-    "instant",
-    "observe",
-    "observed",
-    "read_trace",
-    "span",
-    "strip_wall_fields",
-    "summarize_trace",
-    "summary_table",
-    "to_chrome_trace",
-    "trace_lines",
-    "validate_event_name",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".events": ("EVENT_NAMES", "validate_event_name"),
+    ".metrics": ("MetricsRegistry", "counter_inc", "gauge_set", "observe", "observed"),
+    ".tooling": ("diff_traces", "summarize_trace", "summary_table", "to_chrome_trace"),
+    ".tracer": ("WALL_FIELDS", "Tracer", "instant", "read_trace", "span", "strip_wall_fields", "trace_lines"),
+})

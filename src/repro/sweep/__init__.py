@@ -33,22 +33,10 @@ address is already populated — and the figure/table helpers in
 ``repro.experiments`` render from the store alone.
 """
 
-from repro.sweep.runner import SweepReport, SweepRunner, run_sweep
-from repro.sweep.spec import SweepCell, SweepSpec, cell_hash, derive_cell_seed, grid, paired
-from repro.sweep.store import CellResult, MergeReport, QueryHit, ResultStore
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SweepSpec",
-    "SweepCell",
-    "grid",
-    "paired",
-    "cell_hash",
-    "derive_cell_seed",
-    "ResultStore",
-    "CellResult",
-    "MergeReport",
-    "QueryHit",
-    "SweepRunner",
-    "SweepReport",
-    "run_sweep",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".spec": ("SweepSpec", "SweepCell", "grid", "paired", "cell_hash", "derive_cell_seed"),
+    ".store": ("ResultStore", "CellResult", "MergeReport", "QueryHit"),
+    ".runner": ("SweepRunner", "SweepReport", "run_sweep"),
+})

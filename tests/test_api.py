@@ -184,6 +184,36 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match="dataset_fn"):
             cfg.to_dict()
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("lr", float("nan"), "lr must be finite and positive"),
+            ("lr", float("inf"), "lr must be finite and positive"),
+            ("lr", 0.0, "lr must be finite and positive"),
+            ("lr", -0.1, "lr must be finite and positive"),
+            ("lr", "nan", "lr must be a number"),
+            ("lr", True, "lr must be a number"),
+            ("n_workers", 0, "n_workers must be an integer >= 1"),
+            ("n_workers", 2.0, "n_workers must be an integer >= 1"),
+            ("batch_size", 0, "batch_size must be an integer >= 1"),
+            ("batch_size", -4, "batch_size must be an integer >= 1"),
+        ],
+    )
+    def test_validate_rejects_bad_numeric_field(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            make_config("smoke", **{field: value}).validate()
+
+    def test_validate_accepts_integer_lr_and_numpy_scalars(self):
+        import numpy as np
+
+        make_config("smoke", lr=1, n_workers=np.int64(3), batch_size=np.int32(4)).validate()
+
+    def test_from_dict_rejects_nan_lr(self):
+        payload = make_config("smoke").to_dict()
+        payload["lr"] = float("nan")
+        with pytest.raises(ValueError, match="lr must be finite"):
+            ExperimentConfig.from_dict(payload)
+
     def test_config_spec_is_a_copy(self):
         spec = config_spec("smoke")
         spec["n_workers"] = 99
@@ -368,6 +398,17 @@ class TestCLI:
     def test_unknown_model_exits_with_message(self):
         with pytest.raises(SystemExit, match="unknown model"):
             main(["--config", "smoke", "--model", "transformer-xxl"])
+
+    @pytest.mark.parametrize(
+        "override,message",
+        [("lr=nan", "lr must be a number"), ("lr=-1.0", "lr must be finite"),
+         ("n_workers=0", "n_workers must be"), ("batch_size=0", "batch_size must be")],
+    )
+    def test_invalid_field_is_a_usage_error(self, override, message, capsys):
+        with pytest.raises(SystemExit, match=message) as excinfo:
+            main(["--config", "smoke", "--set", override])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_json_config_missing_name_exits_with_message(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -9,11 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import networkx as nx
-
 from repro.distributed.averaging import average_states
 from repro.distributed.topology import (
     TOPOLOGIES,
+    chordal_ring_graph,
     complete_mixing_matrix,
     consensus_distance,
     metropolis_hastings_weights,
@@ -25,6 +25,14 @@ from repro.distributed.topology import (
     star_mixing_matrix,
 )
 from repro.experiments.cli import build_parser, main
+
+
+def random_connected_adjacency(n: int, p: float, seed: int) -> np.ndarray:
+    """Seeded Erdős–Rényi G(n, p) adjacency plus the path 0-1-...-(n-1),
+    which forces connectivity."""
+    A = np.triu(np.random.default_rng(seed).random((n, n)) < p, k=1)
+    A[np.arange(n - 1), np.arange(1, n)] = True
+    return A | A.T
 
 
 class TestMixingMatrices:
@@ -44,21 +52,43 @@ class TestMixingMatrices:
         assert spectral_gap(ring_mixing_matrix(4)) > spectral_gap(ring_mixing_matrix(16))
 
     def test_metropolis_hastings_on_random_graph(self):
-        graph = nx.erdos_renyi_graph(10, 0.5, seed=0)
-        # Ensure connectivity for the test.
-        if not nx.is_connected(graph):
-            graph = nx.complete_graph(10)
-        W = metropolis_hastings_weights(graph)
+        W = metropolis_hastings_weights(random_connected_adjacency(10, 0.5, seed=0))
         np.testing.assert_allclose(W.sum(axis=1), np.ones(10), atol=1e-10)
         assert spectral_gap(W) > 0
 
     def test_metropolis_hastings_rejects_disconnected(self):
-        graph = nx.Graph()
-        graph.add_nodes_from([0, 1, 2, 3])
-        graph.add_edge(0, 1)
-        graph.add_edge(2, 3)
-        with pytest.raises(ValueError):
-            metropolis_hastings_weights(graph)
+        A = np.zeros((4, 4), dtype=bool)
+        A[0, 1] = A[1, 0] = A[2, 3] = A[3, 2] = True
+        with pytest.raises(ValueError, match="must be connected"):
+            metropolis_hastings_weights(A)
+
+    def test_metropolis_hastings_rejects_malformed_adjacency(self):
+        with pytest.raises(ValueError, match="square"):
+            metropolis_hastings_weights(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="non-empty"):
+            metropolis_hastings_weights(np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="symmetric"):
+            metropolis_hastings_weights(np.triu(np.ones((3, 3)), k=1))
+
+    def test_metropolis_hastings_ignores_the_diagonal(self):
+        A = random_connected_adjacency(7, 0.3, seed=1)
+        with_loops = A.copy()
+        np.fill_diagonal(with_loops, True)
+        assert metropolis_hastings_weights(with_loops).tobytes() == metropolis_hastings_weights(A).tobytes()
+
+    def test_chordal_ring_degrees(self):
+        assert chordal_ring_graph(4).sum(axis=1).tolist() == [3, 3, 3, 3]
+        A = chordal_ring_graph(9)
+        assert A.sum(axis=1).tolist() == [4] * 9 and not A.diagonal().any()
+
+    def test_mh_mixing_matrices_are_pinned(self):
+        """Byte pin of the "mh" topology for m = 1..69, computed by the
+        earlier graph-library implementation: the adjacency rewrite keeps
+        every gossip trajectory byte-identical."""
+        digest = hashlib.sha256()
+        for m in range(1, 70):
+            digest.update(mixing_matrix_for("mh", m).tobytes())
+        assert digest.hexdigest() == "71849d66c5917ddf9ebfec519cff9de2cc1a73edb40ad047b4bc282447539785"
 
     def test_invalid_matrix_rejected(self):
         with pytest.raises(ValueError):
@@ -157,9 +187,7 @@ def test_property_every_topology_builds_doubly_stochastic_matrix(topology, m):
 )
 def test_property_metropolis_hastings_on_random_connected_graphs(n, p, seed):
     """MH weights over any connected graph are symmetric doubly-stochastic."""
-    graph = nx.erdos_renyi_graph(n, p, seed=seed)
-    graph.add_edges_from((i, i + 1) for i in range(n - 1))  # force connectivity
-    W = metropolis_hastings_weights(graph)
+    W = metropolis_hastings_weights(random_connected_adjacency(n, p, seed))
     np.testing.assert_allclose(W, W.T, atol=1e-12)
     np.testing.assert_allclose(W.sum(axis=1), np.ones(n), atol=1e-9)
     assert np.all(W >= -1e-12)
