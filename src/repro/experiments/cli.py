@@ -254,12 +254,13 @@ def _run_sweep(args: argparse.Namespace, parser_defaults: argparse.Namespace) ->
         print(f"\ncell {address} FAILED:\n{error}")
 
     # Everything below renders from the persistent store, never from memory;
-    # cells are read and parsed exactly once and shared by every view.
+    # cells are read and parsed exactly once (cached ones by the runner, as
+    # it skipped them) and shared by every view.
     addresses = sorted({c.address for c in report.cells} & set(store.addresses()))
     if not addresses:
         return 1 if report.failed else 0
 
-    cells = list(store.cells(addresses))
+    cells = [report.cell(address) for address in addresses]
     records = [rec for cell in cells for rec in cell.runs]
     if args.target_loss is not None:
         target = args.target_loss

@@ -230,15 +230,21 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         """Check every component name against its registry; returns self.
 
-        Also rejects a learning rate that is not a finite positive number and
-        a worker count or batch size below one, naming the field, before a
-        run can be hashed or started.
+        Also rejects a bad number where it enters, naming the field, before
+        a run can be hashed or started: ``lr``, ``wall_time_budget`` and
+        ``adacomm_interval`` must be finite and positive, ``momentum`` and
+        ``block_momentum_beta`` finite and in [0, 1), and ``n_workers``,
+        ``batch_size`` and ``eval_every_rounds`` integers >= 1.
         """
-        if isinstance(self.lr, bool) or not isinstance(self.lr, Real):
-            raise ValueError(f"lr must be a number, got {self.lr!r}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be finite and positive, got {self.lr!r}")
-        for name in ("n_workers", "batch_size"):
+        for name in ("lr", "wall_time_budget", "adacomm_interval"):
+            value = self._number(name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        for name in ("momentum", "block_momentum_beta"):
+            value = self._number(name)
+            if not (math.isfinite(value) and 0 <= value < 1):
+                raise ValueError(f"{name} must be finite and in [0, 1), got {value!r}")
+        for name in ("n_workers", "batch_size", "eval_every_rounds"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
@@ -290,6 +296,12 @@ class ExperimentConfig:
                 f"elastic_deadline must be positive or None, got {self.elastic_deadline}"
             )
         return self
+
+    def _number(self, name: str) -> Real:
+        value = getattr(self, name)
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        return value
 
 
 # -- named configs (declarative specs) ------------------------------------

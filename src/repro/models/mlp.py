@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.layers import BatchNorm1d, Dropout, Linear, Module, ReLU, Residual, Sequential, Tanh
-from repro.nn.losses import bank_cross_entropy, cross_entropy
+from repro.nn.losses import bank_cross_entropy
 from repro.nn.tensor import Tensor
 from repro.utils.seeding import SeedSequence, check_random_state
 
@@ -69,14 +69,6 @@ class MLP(Module):
         self.hidden_sizes = tuple(hidden_sizes)
         self.net = Sequential(*layers)
 
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim > 2:
-            x = x.reshape(x.shape[0], -1)
-        return self.net(x)
-
-    def loss(self, x, y: np.ndarray) -> Tensor:
-        return cross_entropy(self(x), y)
-
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         x = self._as_bank_input(x)
         return self.net.bank_forward(x, params, f"{prefix}net.")
@@ -117,16 +109,6 @@ class ResidualMLP(Module):
             )
         self.blocks = Sequential(*blocks)
         self.head = Linear(width, n_classes, rng=seeds.generator())
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim > 2:
-            x = x.reshape(x.shape[0], -1)
-        h = self.stem(x).relu()
-        h = self.blocks(h)
-        return self.head(h)
-
-    def loss(self, x, y: np.ndarray) -> Tensor:
-        return cross_entropy(self(x), y)
 
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         x = self._as_bank_input(x)

@@ -173,47 +173,30 @@ class NoisyQuadraticProblem(Module):
         #: ``repro.nn.bank.attach_bank_streams`` at backend construction).
         self._bank_rngs: "list | None" = None
 
-    def forward(self, _: Tensor) -> Tensor:  # pragma: no cover - not meaningful here
-        return self.x
-
-    def loss(self, x_batch=None, y_batch=None) -> Tensor:
-        """Return a scalar whose gradient w.r.t. ``self.x`` is a stochastic gradient.
-
-        We construct ``loss = g_noisy · x`` where ``g_noisy`` is held constant,
-        plus a detached offset so that ``loss.item()`` equals the *exact*
-        objective value (useful for logging).  ``backward()`` then yields
-        exactly ``g_noisy`` as the parameter gradient.
-        """
-        x_val = self.x.data
-        g_noisy = self.objective.stochastic_gradient(x_val, self._rng)
-        exact_value = self.objective.value(x_val)
-        # Linear surrogate: gradient equals g_noisy, value equals exact F(x).
-        offset = exact_value - float(g_noisy @ x_val)
-        return (self.x * Tensor(g_noisy)).sum() + Tensor(np.array(offset))
-
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         return params[f"{prefix}x"]
 
     def bank_loss(self, x_batch=None, y_batch=None, params=None) -> Tensor:
         """Per-worker surrogate losses ``(m,)`` over stacked iterates.
 
-        Entry i mirrors :meth:`loss` at worker i's iterate with worker i's
-        noise stream: the gradient of ``losses.sum()`` w.r.t. the stacked
-        parameter is exactly the m noisy gradients, and each loss value is
-        the exact objective value F(x_i).
+        Entry i is ``g_i · x_i`` plus a detached offset, where ``g_i`` is a
+        noisy gradient drawn from worker i's stream and held constant: the
+        gradient of ``losses.sum()`` w.r.t. the stacked parameter is exactly
+        the m noisy gradients, and each loss value is the exact objective
+        value F(x_i) (useful for logging).  A lone replica (m=1, the loop
+        backend) draws from its own stream.
         """
         X = params["x"]  # (m, d) stacked iterates
         m = X.shape[0]
-        rngs = self._bank_rngs
-        if self.objective.noise_std > 0:
-            if rngs is None or len(rngs) != m:
-                raise RuntimeError(
-                    "NoisyQuadraticProblem bank_loss needs one noise stream per "
-                    "worker; the worker-bank backend attaches them at "
-                    "construction (see repro.nn.bank.attach_bank_streams)"
-                )
-        else:
+        rngs = self._bank_rngs if self._bank_rngs is not None else [self._rng]
+        if self.objective.noise_std == 0:
             rngs = [None] * m
+        elif len(rngs) != m:
+            raise RuntimeError(
+                "NoisyQuadraticProblem bank_loss needs one noise stream per "
+                "worker; the worker-bank backend attaches them at "
+                "construction (see repro.nn.bank.attach_bank_streams)"
+            )
         x_vals = X.data
         g_noisy = self.objective.stacked_stochastic_gradients(x_vals, rngs)
         values = self.objective.stacked_values(x_vals)

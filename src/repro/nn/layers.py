@@ -14,6 +14,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.nn import init as init_mod
+from repro.nn.losses import _lift
 from repro.nn.tensor import Tensor
 from repro.utils.seeding import check_random_state
 from repro.utils.timer import profiled
@@ -42,7 +43,9 @@ class Module:
 
     Subclasses register :class:`Tensor` parameters as attributes; the base
     class discovers them (recursively through sub-modules) for optimization,
-    averaging, and serialization.
+    averaging, and serialization.  A layer implements only
+    :meth:`bank_forward` (a model also :meth:`bank_loss`); the base class
+    derives the single-replica :meth:`forward` and :meth:`loss` from them.
     """
 
     def __init__(self) -> None:
@@ -180,25 +183,44 @@ class Module:
                 raise ValueError(f"shape mismatch for {name}: {value.shape} vs {p.shape}")
             p.data[...] = value
 
-    # -- forward ---------------------------------------------------------------
-    def forward(self, x: Tensor) -> Tensor:  # pragma: no cover - abstract
-        raise NotImplementedError
+    # -- single replica: the m=1 slice of the bank path ------------------------
+    def _replica_state(self) -> dict:
+        """This module's own values as a one-worker bank state.
+
+        Each parameter is lifted to ``(1, *shape)`` through an autograd
+        reshape, so ``backward()`` still lands gradients in ``p.grad``; each
+        buffer is a ``(1, *shape)`` view, so in-place running-stat updates
+        write through to the module.
+        """
+        state: dict = {name: p.reshape(1, *p.shape) for name, p in self.named_parameters()}
+        state.update((name, b[None]) for name, b in self.named_buffers())
+        return state
+
+    def forward(self, x: Tensor) -> Tensor:
+        """One replica's forward: :meth:`bank_forward` at m=1."""
+        out = self.bank_forward(_lift(x), self._replica_state())
+        return out.reshape(out.shape[1:])
+
+    def loss(self, x=None, y=None) -> Tensor:
+        """One replica's scalar batch loss: :meth:`bank_loss` at m=1."""
+        return self.bank_loss(_lift(x), _lift(y), self._replica_state()).reshape(())
 
     def __call__(self, x: Tensor) -> Tensor:
         if not isinstance(x, Tensor):
             x = Tensor(x)
         return self.forward(x)
 
-    # -- param-bank forward (vectorized worker-bank backend) -------------------
+    # -- param-bank forward (the one implementation of every layer) ------------
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         """Run this module's computation for all m workers at once.
 
         ``x`` carries a leading worker axis — ``(m, B, ...)`` — and ``params``
         maps fully-qualified parameter names (as in :meth:`named_parameters`)
         to tensors stacked along the same axis, ``(m, *shape)``.  ``prefix``
-        is this module's name prefix inside ``params``.  Layers that support
-        the stacked path override this; the base implementation marks the
-        module as loop-only (see :meth:`supports_bank`).
+        is this module's name prefix inside ``params``.  This is the only
+        forward a layer implements: :meth:`forward` runs it at m=1.  The
+        base implementation marks the module as loop-only (see
+        :meth:`supports_bank`).
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement the param-bank forward path"
@@ -207,11 +229,12 @@ class Module:
     def bank_loss(self, x, y, params) -> Tensor:
         """Per-worker losses ``(m,)`` of stacked batches under stacked params.
 
-        Each entry must equal ``self.loss(x[i], y[i])`` evaluated with worker
-        i's parameter slice, so that ``bank_loss(...).sum().backward()``
-        deposits every worker's own batch gradient into its slice of the
-        parameter bank.  Models that support the vectorized backend override
-        this alongside :meth:`bank_forward`.
+        ``x`` and ``y`` carry a leading worker axis and ``params`` is a
+        stacked state (``ParameterBank.state()``, or :meth:`_replica_state`
+        at m=1).  Entry i depends only on worker i's batch and parameter
+        slice, so ``bank_loss(...).sum().backward()`` deposits every
+        worker's own batch gradient into its slice of the bank.  This is
+        the only loss a model implements: :meth:`loss` runs it at m=1.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement a param-bank loss"
@@ -269,12 +292,6 @@ class Linear(Module):
         else:
             self.bias = None
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
-
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         # (m, B, in) @ (m, in, out) — matmul broadcasts over the worker axis,
         # so one call runs every replica's affine map.
@@ -287,34 +304,22 @@ class Linear(Module):
 
 
 class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         return x.relu()
 
 
 class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         return x.tanh()
 
 
 class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         return x.sigmoid()
 
 
 class Flatten(Module):
     """Flatten all but the batch dimension."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.reshape(x.shape[0], -1)
 
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         return x.reshape(x.shape[0], x.shape[1], -1)
@@ -334,25 +339,20 @@ class Dropout(Module):
         #: ``repro.nn.bank.attach_bank_streams`` at backend construction).
         self._bank_rngs: "list | None" = None
 
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        mask = (self._rng.random(x.shape) >= self.p) / (1.0 - self.p)
-        return x * Tensor(mask)
-
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         if not self.training or self.p == 0.0:
             return x
-        rngs = self._bank_rngs
-        if rngs is None or len(rngs) != x.shape[0]:
+        # A lone replica (the loop backend, m=1) draws from its own stream.
+        rngs = self._bank_rngs if self._bank_rngs is not None else [self._rng]
+        if len(rngs) != x.shape[0]:
             raise RuntimeError(
                 "Dropout bank_forward needs one RNG stream per worker; the "
                 "worker-bank backend attaches them at construction (see "
                 "repro.nn.bank.attach_bank_streams)"
             )
         # One draw of shape (B, ...) per worker stream — each generator is
-        # consumed exactly as its loop replica's would be, so a seeded run
-        # produces byte-identical masks (and stream positions) on either
+        # consumed exactly as m independent replicas' would be, so a seeded
+        # run produces byte-identical masks (and stream positions) on every
         # backend.  Only the draws loop over m; the masking is one op.
         per_worker = x.shape[1:]
         keep = np.stack([rng.random(per_worker) for rng in rngs]) >= self.p
@@ -371,15 +371,8 @@ class Sequential(Module):
 
     def __init__(self, *modules: Module):
         super().__init__()
-        self._seq: list[Module] = []
         for i, mod in enumerate(modules):
             setattr(self, f"layer{i}", mod)
-            self._seq.append(mod)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for mod in self._seq:
-            x = mod(x)
-        return x
 
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         for name, mod in self._modules.items():
@@ -387,10 +380,10 @@ class Sequential(Module):
         return x
 
     def __len__(self) -> int:
-        return len(self._seq)
+        return len(self._modules)
 
     def __getitem__(self, idx: int) -> Module:
-        return self._seq[idx]
+        return list(self._modules.values())[idx]
 
 
 class _ConvPlan:
@@ -628,51 +621,6 @@ class Conv2d(Module):
         else:
             self.bias = None
 
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 4:
-            raise ValueError(f"Conv2d expects NCHW input, got shape {x.shape}")
-        if self.padding:
-            x = x.pad2d(self.padding)
-
-        kh = kw = self.kernel_size
-        stride = self.stride
-        x_data = x.data
-        n, c, h, w = x_data.shape
-        with profiled("conv2d.forward"):
-            cols, out_h, out_w = _im2col(x_data, kh, kw, stride)
-            w_mat = self.weight.data.reshape(self.out_channels, -1).T  # (c*kh*kw, out_c)
-            out_cols = cols @ w_mat
-            # Materialize a C-contiguous output: the transpose view would leak
-            # its layout through every downstream ufunc (bias add, ReLU, pooling).
-            out_data = np.ascontiguousarray(
-                out_cols.reshape(n, out_h, out_w, self.out_channels).transpose(0, 3, 1, 2)
-            )
-            if self.bias is not None:
-                out_data += self.bias.data.reshape(1, -1, 1, 1)
-
-        weight = self.weight
-        bias = self.bias
-        x_shape = x_data.shape
-        parents = (x, weight) if bias is None else (x, weight, bias)
-
-        def backward(g):
-            # g: (n, out_c, out_h, out_w)
-            with profiled("conv2d.backward"):
-                g_cols = g.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-                dw = (cols.T @ g_cols).T.reshape(weight.shape)
-                if x.requires_grad:
-                    dx = _col2im(g_cols @ w_mat.T, x_shape, kh, kw, stride)
-                else:
-                    # First-layer input: the scatter (and its GEMM) would be
-                    # discarded by the engine, so don't compute it.
-                    dx = None
-                if bias is None:
-                    return (dx, dw)
-                db = g.sum(axis=(0, 2, 3))
-                return (dx, dw, db)
-
-        return x._make(out_data, parents, backward)
-
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         """All m workers' convolutions in one batched matmul.
 
@@ -704,8 +652,9 @@ class Conv2d(Module):
             cols3 = cols.reshape(m, b * out_h * out_w, c * kh * kw)
             w_mat = weight.data.reshape(m, self.out_channels, -1).transpose(0, 2, 1)
             out_cols = cols3 @ w_mat  # (m, B·oh·ow, out_c)
-            # Materialize a C-contiguous output (see forward): downstream ufuncs
-            # inherit the layout, and the pooling fast path needs C order.
+            # Materialize a C-contiguous output: the transpose view would leak
+            # its layout through every downstream ufunc (bias add, ReLU), and
+            # the pooling fast path needs C order.
             out_data = np.ascontiguousarray(
                 out_cols.reshape(m, b, out_h, out_w, self.out_channels).transpose(0, 1, 4, 2, 3)
             )
@@ -749,16 +698,6 @@ class _Pool2d(Module):
     def _forward_arrays(self, x_data: np.ndarray):  # pragma: no cover - abstract
         """Array-level pool: return ``(out_data, backward)`` for NCHW input."""
         raise NotImplementedError
-
-    def forward(self, x: Tensor) -> Tensor:
-        with profiled("pool.forward"):
-            out_data, array_backward = self._forward_arrays(x.data)
-
-        def backward(g):
-            with profiled("pool.backward"):
-                return (array_backward(g),)
-
-        return x._make(out_data, (x,), backward)
 
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         # Pooling has no parameters, so the worker axis simply folds into the
@@ -901,24 +840,6 @@ class BatchNorm1d(Module):
         self.register_buffer("running_mean", np.zeros(num_features))
         self.register_buffer("running_var", np.ones(num_features))
 
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 2:
-            raise ValueError("BatchNorm1d expects (N, F) input")
-        if self.training:
-            mean = x.mean(axis=0, keepdims=True)
-            centered = x - mean
-            var = (centered * centered).mean(axis=0, keepdims=True)
-            self.running_mean = (
-                (1 - self.momentum) * self.running_mean + self.momentum * mean.data.ravel()
-            )
-            self.running_var = (
-                (1 - self.momentum) * self.running_var + self.momentum * var.data.ravel()
-            )
-            x_hat = centered / (var + self.eps).sqrt()
-        else:
-            x_hat = (x - Tensor(self.running_mean)) / Tensor(np.sqrt(self.running_var + self.eps))
-        return x_hat * self.weight + self.bias
-
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         """Normalize all m workers' batches under per-worker γ/β and stats.
 
@@ -966,9 +887,6 @@ class Residual(Module):
     def __init__(self, inner: Module):
         super().__init__()
         self.inner = inner
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x + self.inner(x)
 
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         return x + self.inner.bank_forward(x, params, f"{prefix}inner.")

@@ -7,7 +7,7 @@ gradients into every tensor created with ``requires_grad=True``.
 
 The operator set is the minimum needed by the layer library: elementwise
 arithmetic, matmul, reductions, reshape/transpose, exp/log/tanh/relu/sigmoid,
-indexing helpers for cross-entropy, and im2col-friendly padding.  Broadcasting
+and indexing helpers for cross-entropy.  Broadcasting
 is fully supported; gradients of broadcast operands are reduced back to the
 operand's shape.
 """
@@ -408,19 +408,6 @@ class Tensor:
         return self._make(out_data, (self,), backward)
 
     # -- shaping / selection --------------------------------------------------------
-    def pad2d(self, pad: int) -> "Tensor":
-        """Zero-pad the last two dims of an NCHW tensor by ``pad`` on each side."""
-        if pad == 0:
-            return self
-        if self.ndim != 4:
-            raise ValueError("pad2d expects an NCHW tensor")
-        out_data = np.pad(self.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-
-        def backward(g):
-            return (g[:, :, pad:-pad, pad:-pad],)
-
-        return self._make(out_data, (self,), backward)
-
     def gather_rows(self, indices: np.ndarray) -> "Tensor":
         """Select ``out[i] = self[i, indices[i]]`` for a 2-D tensor (NLL loss helper)."""
         if self.ndim != 2:

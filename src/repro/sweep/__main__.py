@@ -8,9 +8,10 @@ campaigns populate:
   recorded axis ``overrides`` match every given pair exactly (values parse
   as Python literals, so ``--where tau=4`` matches the integer axis value).
   Cells missing a queried key never match; each hit shows its campaign,
-  content address, overrides, and whether its result is stored (``done``)
-  or still pending — so the verb answers both "which cells swept τ = 4"
-  and "what is left to run".
+  content address, overrides, and whether its result is stored (``done``),
+  still pending, or stored but unreadable (``corrupt``; the next run of the
+  campaign moves it aside and runs the cell again) — so the verb answers
+  both "which cells swept τ = 4" and "what is left to run".
 * ``merge <src> <dst>`` — union one store's completed cells and campaign
   manifests into another.  Safe because cells are content-addressed and
   byte-deterministic: a cell sharded to another machine comes back as the
@@ -86,12 +87,12 @@ def _run_query(args: argparse.Namespace) -> int:
         print(f"error: {err.args[0]}", file=sys.stderr)
         return 1
     for hit in hits:
-        status = "done   " if hit.completed else "pending"
-        print(f"[query] {status} {hit.campaign}  {hit.address}  {hit.label}")
+        print(f"[query] {hit.status:<7} {hit.campaign}  {hit.address}  {hit.label}")
     tag = ", ".join(f"{k}={v!r}" for k, v in where.items()) or "<all>"
-    done = sum(hit.completed for hit in hits)
+    counts = {status: sum(hit.status == status for hit in hits)
+              for status in ("done", "pending", "corrupt")}
     print(f"[query] {store.root}: {len(hits)} cell(s) match {tag} "
-          f"({done} done, {len(hits) - done} pending)")
+          f"({counts['done']} done, {counts['pending']} pending, {counts['corrupt']} corrupt)")
     return 0
 
 

@@ -15,7 +15,9 @@ to the store; because cells are pure functions of their config (seeded NumPy
 end to end), pool scheduling order cannot change any stored byte.
 
 A killed or partially-completed campaign resumes for free: re-running the
-same spec executes only the cells whose result files are missing.
+same spec executes only the cells whose result files are missing or
+unreadable.  Each skipped cell is read once, while deciding to skip it, and
+kept in the report, so rendering from the report reads nothing twice.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Any, Callable
 from repro.obs.metrics import counter_inc
 from repro.obs.tracer import instant
 from repro.sweep.spec import SweepCell, SweepSpec
-from repro.sweep.store import ResultStore
+from repro.sweep.store import CellResult, ResultStore
 from repro.utils.logging import get_logger
 
 __all__ = ["SweepRunner", "SweepReport", "run_sweep"]
@@ -44,6 +46,7 @@ class SweepReport:
     ``executed`` / ``cached`` / ``failed`` partition the campaign's cell
     addresses: freshly run this invocation, already present in the store
     (skipped), and raised during execution (error text kept per address).
+    ``loaded`` holds the cached cells as read while deciding to skip them.
     """
 
     sweep: str
@@ -52,6 +55,7 @@ class SweepReport:
     executed: list[str] = field(default_factory=list)
     cached: list[str] = field(default_factory=list)
     failed: dict[str, str] = field(default_factory=dict)
+    loaded: dict[str, CellResult] = field(default_factory=dict)
 
     @property
     def total(self) -> int:
@@ -68,10 +72,16 @@ class SweepReport:
             f"cached={len(self.cached)} failed={len(self.failed)} store={self.store.root}"
         )
 
+    def cell(self, address: str) -> CellResult:
+        """One stored cell: the copy read while skipping it, else the store's."""
+        loaded = self.loaded.get(address)
+        return loaded if loaded is not None else self.store.cell(address)
+
     def results(self):
         """Iterate the campaign's stored :class:`CellResult` objects."""
-        done = [c.address for c in self.cells if c.address in self.store]
-        return self.store.cells(done)
+        for c in self.cells:
+            if c.address in self.store:
+                yield self.cell(c.address)
 
 
 def _execute_cell(
@@ -215,7 +225,9 @@ class SweepRunner:
         )
         pending: list[SweepCell] = []
         for cell in unique.values():
-            if cell.address in self.store:
+            stored = self.store.load(cell.address)
+            if stored is not None:
+                report.loaded[cell.address] = stored
                 report.cached.append(cell.address)
                 counter_inc("sweep_cells_cached_total")
                 instant("sweep_cell", address=cell.address, status="cached")

@@ -11,21 +11,27 @@ A :class:`ResultStore` maps cell content addresses (see
 Everything is plain JSON with sorted keys and **no timestamps**, so the same
 cell executed twice produces byte-identical files — the determinism contract
 the resume machinery and the test suite rely on.  ``result.json`` is written
-last and atomically (temp file + ``os.replace``), so a killed campaign never
-leaves a truncated result that would be mistaken for a completed cell: a
-cell is complete if and only if its ``result.json`` exists.
+last and atomically (a uniquely named temp file in the same directory, then
+``os.replace``), so a killed campaign never leaves a truncated result that
+would be mistaken for a completed cell: a cell is complete if and only if
+its ``result.json`` exists.  A result file that is damaged anyway (truncated
+or overwritten outside the store) is detected when it is first read: it is
+moved aside to ``result.json.corrupt`` and the cell counts as pending again.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shutil
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
 from repro.sweep.spec import format_overrides
+from repro.utils.logging import get_logger
 from repro.utils.results import RunStore, decode_json_floats, encode_json_floats
 
 __all__ = ["ResultStore", "CellResult", "MergeReport", "QueryHit"]
@@ -33,6 +39,10 @@ __all__ = ["ResultStore", "CellResult", "MergeReport", "QueryHit"]
 _CELL_FILE = "cell.json"
 _RESULT_FILE = "result.json"
 _METRICS_FILE = "metrics.json"
+#: Suffix an unreadable result file is moved aside under.
+_CORRUPT_SUFFIX = ".corrupt"
+
+logger = get_logger("sweep.store")
 
 
 @dataclass(frozen=True)
@@ -60,8 +70,12 @@ class QueryHit:
     address: str
     #: Axis assignments the campaign recorded for this cell.
     overrides: dict[str, Any]
-    #: Whether the cell's result is present in the store.
-    completed: bool
+    #: ``"done"``, ``"pending"`` or ``"corrupt"`` (see :meth:`ResultStore.status`).
+    status: str
+
+    @property
+    def completed(self) -> bool:
+        return self.status == "done"
 
     @property
     def label(self) -> str:
@@ -106,12 +120,31 @@ def _dump_json(path: Path, payload: Any) -> None:
     sentinel strings, and ``allow_nan=False`` turns any future regression
     into a loud ``ValueError`` instead of a silently non-portable file.
     """
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(
+    _atomic_write(
+        path,
         json.dumps(encode_json_floats(payload), indent=2, sort_keys=True, allow_nan=False)
-        + "\n"
+        + "\n",
     )
-    os.replace(tmp, path)
+
+
+def _atomic_write(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` through a uniquely named temp file.
+
+    The temp file lives in the same directory (so ``os.replace`` is an
+    atomic rename) and has a name of its own, so two writers of one address
+    never share a temp file; on any error it is removed.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
+    try:
+        # mkstemp creates 0600; give the file the mode a plain write would.
+        os.fchmod(fd, 0o644)
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _load_json(path: Path) -> Any:
@@ -177,6 +210,42 @@ class ResultStore:
 
     def cell(self, address: str) -> CellResult:
         return CellResult(address=address, meta=self.meta(address), runs=self.runs(address))
+
+    def load(self, address: str) -> "CellResult | None":
+        """The stored cell, or ``None`` when it is absent or unreadable.
+
+        A cell whose files cannot be decoded (truncated, garbage or
+        non-UTF-8) has its result file moved aside to
+        ``result.json.corrupt``, with one warning naming the address; from
+        then on it counts as pending, so the next campaign run executes it
+        again.
+        """
+        if address not in self:
+            return None
+        try:
+            return self.cell(address)
+        except ValueError as err:
+            path = self._result_path(address)
+            os.replace(path, path.with_name(path.name + _CORRUPT_SUFFIX))
+            logger.warning(
+                "cell %s in %s is unreadable (%s: %s); moved its result aside "
+                "to %s%s, the cell will run again",
+                address, self.root, type(err).__name__, err, _RESULT_FILE, _CORRUPT_SUFFIX,
+            )
+            return None
+
+    def status(self, address: str) -> str:
+        """``"done"``, ``"pending"`` (no result yet) or ``"corrupt"`` (unreadable).
+
+        Parses the cell's files; unlike :meth:`load` it moves nothing.
+        """
+        if address not in self:
+            return "pending"
+        try:
+            self.cell(address)
+        except ValueError:
+            return "corrupt"
+        return "done"
 
     def cells(self, addresses: "list[str] | None" = None) -> Iterator[CellResult]:
         """Iterate stored cells — all of them, or a specific address list."""
@@ -266,7 +335,8 @@ class ResultStore:
         matches its recorded ``[8]`` form.  Results
         are sorted by (campaign, cell enumeration order); ``completed``
         distinguishes stored results from still-pending addresses, so the
-        verb also answers "what is left to run".
+        verb also answers "what is left to run"; each hit's ``status`` also
+        flags a stored result that can no longer be read as ``"corrupt"``.
         """
         where = json.loads(json.dumps(dict(where or {}), sort_keys=True, allow_nan=False))
         campaigns = [campaign] if campaign is not None else self.campaigns()
@@ -282,7 +352,7 @@ class ResultStore:
                         campaign=name,
                         address=cell["address"],
                         overrides=overrides,
-                        completed=cell["address"] in self,
+                        status=self.status(cell["address"]),
                     )
                 )
         return hits
@@ -334,21 +404,17 @@ class ResultStore:
             # put(): a cell is complete iff its result file exists).
             cell_dir = self.cell_dir(address)
             cell_dir.mkdir(parents=True, exist_ok=True)
-            (cell_dir / _CELL_FILE).write_text(src_meta)
+            _atomic_write(cell_dir / _CELL_FILE, src_meta)
             # The metrics sidecar is advisory telemetry (wall-time content,
             # outside the byte-identity contract): it travels with a newly
             # copied cell but is never conflict-checked.
             if src.has_metrics(address):
-                (cell_dir / _METRICS_FILE).write_text(
-                    src._metrics_path(address).read_text()
-                )
-            tmp = cell_dir / (_RESULT_FILE + ".tmp")
-            tmp.write_text(src_result)
-            os.replace(tmp, cell_dir / _RESULT_FILE)
+                _atomic_write(cell_dir / _METRICS_FILE, src._metrics_path(address).read_text())
+            _atomic_write(cell_dir / _RESULT_FILE, src_result)
         for campaign, src_manifest in manifests_to_copy:
             dst_path = self.root / "sweeps" / f"{campaign}.json"
             dst_path.parent.mkdir(parents=True, exist_ok=True)
-            dst_path.write_text(src_manifest)
+            _atomic_write(dst_path, src_manifest)
         return report
 
     def referenced_addresses(self) -> set[str]:

@@ -94,7 +94,8 @@ class Profiler:
     Scopes nest: an op recorded inside another scope accumulates under the
     slash-joined path (``local_period/conv2d.bank_forward``), so the report
     separates e.g. forward-pass conv time from the same kernel run during
-    evaluation.  Activate with :meth:`enable` (or ``with Profiler() as p:``),
+    evaluation (a single-replica call runs the bank kernel at m=1, so each
+    kernel has one label).  Activate with :meth:`enable` (or ``with Profiler() as p:``),
     then read :meth:`table` / :meth:`to_dict` / :meth:`to_json`.
 
     One profiler is active per process at a time; shard processes of the

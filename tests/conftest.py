@@ -21,7 +21,7 @@ import pytest
 from repro.data.synthetic import make_gaussian_blobs
 from repro.models.mlp import MLP
 from repro.nn.layers import Linear, Module, Sequential, Sigmoid, Tanh
-from repro.nn.losses import bank_cross_entropy, cross_entropy
+from repro.nn.losses import bank_cross_entropy
 from repro.runtime.distributions import ConstantDelay, ExponentialDelay
 from repro.runtime.network import NetworkModel
 from repro.runtime.simulator import RuntimeSimulator
@@ -183,14 +183,6 @@ class ActivationZoo(Module):
             Sigmoid(),
             Linear(10, n_classes, rng=seeds.generator()),
         )
-
-    def forward(self, x):
-        if x.ndim > 2:
-            x = x.reshape(x.shape[0], -1)
-        return self.net(x)
-
-    def loss(self, x, y):
-        return cross_entropy(self(x), y)
 
     def bank_forward(self, x, params, prefix: str = ""):
         x = self._as_bank_input(x)

@@ -197,6 +197,20 @@ class TestConfigSerialization:
             ("n_workers", 2.0, "n_workers must be an integer >= 1"),
             ("batch_size", 0, "batch_size must be an integer >= 1"),
             ("batch_size", -4, "batch_size must be an integer >= 1"),
+            ("momentum", 1.5, r"momentum must be finite and in \[0, 1\)"),
+            ("momentum", 1.0, r"momentum must be finite and in \[0, 1\)"),
+            ("momentum", -0.1, r"momentum must be finite and in \[0, 1\)"),
+            ("momentum", float("nan"), r"momentum must be finite and in \[0, 1\)"),
+            ("momentum", "0.9", "momentum must be a number"),
+            ("block_momentum_beta", 1.0, r"block_momentum_beta must be finite and in \[0, 1\)"),
+            ("block_momentum_beta", float("nan"), r"block_momentum_beta must be finite"),
+            ("wall_time_budget", -1.0, "wall_time_budget must be finite and positive"),
+            ("wall_time_budget", float("nan"), "wall_time_budget must be finite and positive"),
+            ("wall_time_budget", float("inf"), "wall_time_budget must be finite and positive"),
+            ("adacomm_interval", 0.0, "adacomm_interval must be finite and positive"),
+            ("adacomm_interval", float("nan"), "adacomm_interval must be finite and positive"),
+            ("eval_every_rounds", 0, "eval_every_rounds must be an integer >= 1"),
+            ("eval_every_rounds", 2.5, "eval_every_rounds must be an integer >= 1"),
         ],
     )
     def test_validate_rejects_bad_numeric_field(self, field, value, message):
@@ -402,7 +416,13 @@ class TestCLI:
     @pytest.mark.parametrize(
         "override,message",
         [("lr=nan", "lr must be a number"), ("lr=-1.0", "lr must be finite"),
-         ("n_workers=0", "n_workers must be"), ("batch_size=0", "batch_size must be")],
+         ("n_workers=0", "n_workers must be"), ("batch_size=0", "batch_size must be"),
+         ("momentum=1.5", "momentum must be"), ("momentum=nan", "momentum must be"),
+         ("block_momentum_beta=1.0", "block_momentum_beta must be"),
+         ("eval_every_rounds=0", "eval_every_rounds must be"),
+         ("wall_time_budget=-1", "wall_time_budget must be"),
+         ("wall_time_budget=nan", "wall_time_budget must be"),
+         ("adacomm_interval=0", "adacomm_interval must be")],
     )
     def test_invalid_field_is_a_usage_error(self, override, message, capsys):
         with pytest.raises(SystemExit, match=message) as excinfo:

@@ -3,9 +3,10 @@
 The example-based suites pin a handful of geometries; these properties
 randomize the whole input space — worker counts, batch sizes, channel
 counts, kernel sizes, strides, padding, and image sizes — and demand that
-``bank_forward`` (the worker axis folded into the batch axis, per-worker
-weights in one batched matmul) is *byte-identical* to running each worker's
-slice through the single-replica ``forward``, outputs and gradients both.
+an m-stacked ``bank_forward`` (the worker axis folded into the batch axis,
+per-worker weights in one batched matmul) is *byte-identical* to running
+each worker's slice as its own m=1 replica through ``forward``, outputs and
+gradients both.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from repro.data.synthetic import make_gaussian_blobs
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.worker import Worker
 from repro.nn.layers import Linear, Module
-from repro.nn.losses import bank_cross_entropy, cross_entropy
+from repro.nn.losses import bank_cross_entropy
 from repro.nn.tensor import Tensor, is_grad_enabled, no_grad
 from repro.runtime.distributions import ConstantDelay
 from repro.runtime.network import NetworkModel
@@ -28,15 +28,12 @@ F, C = 8, 3
 
 
 class GradProbe(Module):
-    """Identity layer that records ``is_grad_enabled()`` at each forward."""
+    """Identity layer that records ``is_grad_enabled()`` at each forward
+    (single-replica calls run this same bank path at m=1)."""
 
     def __init__(self):
         super().__init__()
         self.calls: list[bool] = []
-
-    def forward(self, x: Tensor) -> Tensor:
-        self.calls.append(is_grad_enabled())
-        return x
 
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         self.calls.append(is_grad_enabled())
@@ -50,12 +47,6 @@ class ProbedModel(Module):
         super().__init__()
         self.probe = GradProbe()
         self.fc = Linear(F, C, rng=rng)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.fc(self.probe(x))
-
-    def loss(self, x, y) -> Tensor:
-        return cross_entropy(self(x), y)
 
     def bank_forward(self, x: Tensor, params, prefix: str = "") -> Tensor:
         return self.fc.bank_forward(self.probe.bank_forward(x, params), params, f"{prefix}fc.")

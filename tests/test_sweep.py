@@ -171,6 +171,28 @@ class TestResultStore:
         assert "abc123" not in store
         assert store.addresses() == []
 
+    def test_stale_temp_directory_does_not_break_put(self, tmp_path):
+        # A fixed "<name>.tmp" temp path would collide with this directory
+        # (or with a second campaign writing the same address).
+        store = ResultStore(tmp_path)
+        (store.cell_dir("abc123") / "result.json.tmp").mkdir(parents=True)
+        store.put("abc123", {"name": "x"}, {"runs": []})
+        assert "abc123" in store
+        assert store.runs("abc123").names() == []
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        import repro.sweep.store as store_module
+
+        store = ResultStore(tmp_path)
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(store_module.os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            store.put("abc123", {"name": "x"}, {"runs": []})
+        assert list(store.cell_dir("abc123").iterdir()) == []
+
     def test_manifest_round_trip(self, tmp_path):
         store = ResultStore(tmp_path)
         store.write_manifest("camp", {"cells": []})
@@ -578,6 +600,58 @@ class TestHashExcludesProcessLayout:
         relaid = tiny_spec(backend_shards=4, auto_shard_threshold=2)
         second = run_sweep(relaid, store_dir)
         assert second.executed == [] and len(second.cached) == 4
+
+
+class TestCorruptCells:
+    """A result file damaged outside the store is re-run, never a traceback."""
+
+    CORRUPTIONS = {
+        "truncated": lambda data: data[: len(data) // 2],
+        "garbage": lambda data: b"\xff\xfe not json \x00" + data[:8],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    def test_runner_moves_corrupt_result_aside_and_reruns(self, tmp_path, kind, caplog):
+        report = run_sweep(tiny_spec(), tmp_path)
+        victim = sorted(report.executed)[1]
+        result = report.store.cell_dir(victim) / "result.json"
+        before = result.read_bytes()
+        result.write_bytes(self.CORRUPTIONS[kind](before))
+
+        statuses = {hit.address: hit.status for hit in report.store.query()}
+        assert statuses.pop(victim) == "corrupt"
+        assert set(statuses.values()) == {"done"}
+
+        with caplog.at_level("WARNING", logger="repro.sweep.store"):
+            resumed = run_sweep(tiny_spec(), tmp_path)
+        assert resumed.executed == [victim] and len(resumed.cached) == 3
+        warnings = [r.getMessage() for r in caplog.records if r.name == "repro.sweep.store"]
+        assert len(warnings) == 1 and victim in warnings[0]
+        assert (result.parent / "result.json.corrupt").read_bytes() == self.CORRUPTIONS[kind](before)
+        assert result.read_bytes() == before  # the re-run reproduces its bytes
+        assert {hit.status for hit in resumed.store.query()} == {"done"}
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    def test_cli_renders_after_rerunning_a_corrupt_cell(self, tmp_path, kind, capsys):
+        from repro.experiments.cli import main
+        from repro.sweep.__main__ import main as sweep_main
+
+        assert main(["--sweep", "smoke_2x2", "--store", str(tmp_path)]) == 0
+        store = ResultStore(tmp_path)
+        victim = store.addresses()[0]
+        result = store.cell_dir(victim) / "result.json"
+        result.write_bytes(self.CORRUPTIONS[kind](result.read_bytes()))
+        capsys.readouterr()
+
+        assert sweep_main(["query", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert f"[query] corrupt smoke_2x2  {victim}" in out
+        assert "3 done, 0 pending, 1 corrupt" in out
+
+        assert main(["--sweep", "smoke_2x2", "--store", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "executed=1 cached=3" in out and "rendered from" in out
+        assert victim in store.addresses()
 
 
 class TestStoreQuery:
